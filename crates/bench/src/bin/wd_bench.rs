@@ -201,9 +201,10 @@ fn resize_scenario(quick: bool, seed: u64) -> Json {
 /// read-update, B 95/5, C read-only, F read-modify-write) lowered onto a
 /// single-GPU map through `lower_mixed` + `MapService::execute`, each
 /// over the same Zipf-1.1 key popularity. Reports modeled ops/s per mix
-/// — deterministic, so mix-relative ordering (C fastest, F slowest:
-/// every RMW costs a get *and* a put) is a stable signal — with the host
-/// wall time of the whole block riding along.
+/// (deterministic) with the host wall time of the whole block riding
+/// along. `execute` plans each stream into at most one batch per op
+/// kind, so C (one get batch) is fastest, while A, B and F (one get and
+/// one put batch each) land close together in no structural order.
 fn ycsb_scenario(quick: bool, seed: u64) -> Json {
     use std::sync::Arc;
     use warpdrive::{lower_mixed, Config, GpuHashMap, MapService};

@@ -38,6 +38,18 @@
 //! shadow either. Duplicate keys inside one put batch are the one
 //! genuinely racy case (last writer wins on the kernel's event horizon,
 //! not slice order), so those keys are invalidated rather than updated.
+//! That rule serves direct [`MapService::put_batch`] callers only:
+//! [`MapService::execute`] (the trait's planner, which `CachedMap`
+//! inherits) collapses every key to its last write before the put batch,
+//! so a planned stream never reaches it. Gets the planner answers on the
+//! host (read-your-writes, repeated reads of one key) never reach the
+//! cache either, so they count as neither hits nor misses.
+//!
+//! If a planned stream fails, `execute` returns no responses and any
+//! subset of its final writes may have landed; the failing batch's keys
+//! are invalidated (puts) or dropped (deletes) as above, and the keys of
+//! batches that succeeded are exact, so the shadow stays coherent.
+//!
 //! The wd-serve `cache_equivalence` suite checks all of this end to end
 //! across seeds × schedules × fault plans, including mid-trace resizes
 //! and kill-plan migration traffic.
@@ -359,7 +371,7 @@ impl<S: MapService> MapService for CachedMap<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{Op, OpReport};
+    use crate::service::{Op, OpReport, Response};
 
     /// In-memory reference backend (mirrors the one in `service::tests`).
     #[derive(Default)]
@@ -528,6 +540,39 @@ mod tests {
             resp.values,
             vec![Some(10), Some(20), None, Some(30), Some(20)]
         );
+    }
+
+    #[test]
+    fn execute_forwards_read_your_writes_without_invalidating() {
+        let mut c = warmed(8, CachePolicy::Lru);
+        let k = 4;
+        let ops = [
+            Op::Get { key: k },
+            Op::Put { key: k, value: 1 },
+            Op::Put { key: k, value: 2 },
+            Op::Get { key: k },
+        ];
+        let (resp, report) = c.execute(&ops).unwrap();
+        assert_eq!(
+            resp,
+            vec![
+                Response::Get { value: Some(40) },
+                Response::Put,
+                Response::Put,
+                Response::Get { value: Some(2) },
+            ]
+        );
+        assert_eq!(report.elements, ops.len() as u64);
+        // the planner collapsed the two puts to one, so the duplicate-put
+        // invalidation never fired and the admitted entry was updated
+        assert_eq!(c.stats().invalidations, 0);
+        assert_eq!(c.stats().write_updates, 1);
+        assert_eq!(c.entries.get(&k).map(|e| e.value), Some(2));
+        // only the opening get reached the cache; the final one was
+        // forwarded from the put on the host
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
+        assert_eq!(c.backend().gets, 1);
+        assert_eq!(c.backend().map.get(&k), Some(&2));
     }
 
     #[test]

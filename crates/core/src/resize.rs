@@ -219,8 +219,8 @@ fn merge_stats(acc: &mut Option<KernelStats>, s: KernelStats) {
     });
 }
 
-/// Splits `pairs` into maximal duplicate-key-free segments (same rule as
-/// [`crate::MapService::execute`]). The routed put records per-key
+/// Splits `pairs` into maximal duplicate-key-free segments, cutting
+/// before each repeated key. The routed put records per-key
 /// events manually, so a batch must not contain two writes of one key —
 /// the kernels' race winner could contradict the recorded order.
 fn dup_free_segments(pairs: &[(u32, u32)]) -> Vec<std::ops::Range<usize>> {
@@ -998,7 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn dup_free_segments_split_exactly_like_execute() {
+    fn dup_free_segments_split_before_each_duplicate() {
         let pairs = [(1, 0), (2, 0), (1, 1), (1, 2), (3, 0)];
         let segs = dup_free_segments(&pairs);
         assert_eq!(segs, vec![0..2, 2..3, 3..5]);

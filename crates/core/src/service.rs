@@ -17,24 +17,44 @@
 //!   implemented by [`crate::GpuHashMap`], [`crate::ShardedHashMap`] and
 //!   [`crate::DistributedHashMap`].
 //!
-//! ## Coalescing contract
+//! ## Planning contract
 //!
-//! [`MapService::execute`] turns a mixed op stream into batched kernel
-//! launches while staying *response-identical* to sequential execution:
-//! it cuts the stream into maximal same-kind segments and additionally
-//! splits a put or delete segment before a duplicate key. Within such a
-//! segment the batched kernels are per-key independent (distinct keys
-//! probe disjoint logical slots; §IV-A lets inserts and queries of
-//! different keys race freely), so the batched responses equal the
-//! sequential ones bit for bit. Duplicate gets coalesce freely — reads
-//! do not interfere. The wd-serve equivalence suite proves this across
-//! seeds × schedules × fault plans.
+//! [`MapService::execute`] turns a mixed op stream into at most three
+//! bulk batches while staying *response-identical* to sequential
+//! execution. Ops on distinct keys commute, so only same-key chains
+//! need care, and those are resolved on the host in one pass over the
+//! stream. Each key's state is either "pre-state unknown" or "known
+//! value / known absent":
+//!
+//! * a get of a known key is answered from the host (read-your-writes);
+//! * a put makes the value known, and the last put to a key wins;
+//! * a delete answers `hit` from the known state and makes the key known
+//!   absent;
+//! * a get or delete of an unknown key waits for the backend's pre-state.
+//!
+//! The backend then sees one `get_batch` of the keys whose chain opens
+//! with a get, one `delete_batch` of the keys whose final write is a
+//! delete or that were deleted while unknown (its hits are those keys'
+//! pre-state presence), and one `put_batch` of each remaining key's last
+//! value, in that order. Every batch holds distinct keys in
+//! first-occurrence order, so the batched kernels are per-key
+//! independent (distinct keys probe disjoint logical slots; §IV-A lets
+//! inserts and queries of different keys race freely) and no in-batch
+//! duplicate ever reaches the kernel's CAS race. Every batch issued has
+//! a kind the stream contains. `crates/core/tests/planner.rs` proves
+//! planned ≡ one-op-at-a-time on responses and final contents; the
+//! wd-serve equivalence suites prove it end to end across seeds ×
+//! schedules × fault plans.
+//!
+//! On error no responses are returned, and any subset of the stream's
+//! final writes may have been applied: there is no applied sequential
+//! prefix, because the stream was never executed in order.
 
 use crate::errors::{InsertError, RetrieveError};
 use crate::stats::{CascadeReport, CascadeStage, DegradedStats, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// One small request against a map service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,12 +85,6 @@ impl Op {
         match *self {
             Op::Put { key, .. } | Op::Get { key } | Op::Delete { key } => key,
         }
-    }
-
-    /// Whether the op mutates the map.
-    #[must_use]
-    pub fn is_write(&self) -> bool {
-        !matches!(self, Op::Get { .. })
     }
 }
 
@@ -377,8 +391,8 @@ pub struct PerGpuDeleteResponse {
 pub trait MapService {
     /// Applies a batch of puts. Duplicate keys within one batch race
     /// (last writer wins on the kernel's event horizon) — callers that
-    /// need sequential semantics split batches, as
-    /// [`MapService::execute`] does.
+    /// need sequential semantics go through [`MapService::execute`],
+    /// which collapses each key to its last write.
     ///
     /// # Errors
     /// Any [`OpError`]; probing exhaustion is an error even though the
@@ -458,81 +472,159 @@ pub trait MapService {
     /// Executes a mixed op stream, returning one response per op in
     /// submission order plus the merged cost report.
     ///
-    /// Coalesces maximal same-kind segments into single batches, but
-    /// cuts a put or delete segment before a duplicate key so batched
-    /// execution stays response-identical to sequential execution (see
-    /// the module docs for the argument). Gets coalesce unconditionally.
+    /// Plans the stream on the host (see the module docs): same-key
+    /// chains resolve against a per-key state, so the stream reaches the
+    /// backend as at most one `get_batch`, one `delete_batch` and one
+    /// `put_batch`, in that order, each over distinct keys in
+    /// first-occurrence order. Responses are identical to executing the
+    /// ops one at a time. The merged report's `elements` is `ops.len()`,
+    /// the ops answered, whether the backend or the planner answered them.
     ///
     /// # Errors
-    /// Propagates the first failing batch's [`OpError`]; earlier
-    /// segments stay applied (same as a sequential caller stopping at
-    /// the first error).
+    /// Propagates the first failing batch's [`OpError`]. No responses are
+    /// returned, and any subset of the stream's final writes may have been
+    /// applied.
     fn execute(&mut self, ops: &[Op]) -> Result<(Vec<Response>, OpReport), OpError> {
-        let mut responses = Vec::with_capacity(ops.len());
+        let (mut keys, answers) = plan(ops);
         let mut report = OpReport::default();
-        let mut start = 0usize;
-        let mut seen: HashSet<u32> = HashSet::new();
-        let flush = |svc: &mut Self,
-                     seg: &[Op],
-                     responses: &mut Vec<Response>,
-                     report: &mut OpReport|
-         -> Result<(), OpError> {
-            if seg.is_empty() {
-                return Ok(());
-            }
-            match seg[0] {
-                Op::Put { .. } => {
-                    let pairs: Vec<(u32, u32)> = seg
-                        .iter()
-                        .map(|op| match *op {
-                            Op::Put { key, value } => (key, value),
-                            _ => unreachable!("segments are same-kind"),
-                        })
-                        .collect();
-                    let r = svc.put_batch(&pairs)?;
-                    responses.extend(std::iter::repeat_n(Response::Put, pairs.len()));
-                    report.merge(&r.report);
-                }
-                Op::Get { .. } => {
-                    let keys: Vec<u32> = seg.iter().map(Op::key).collect();
-                    let r = svc.get_batch(&keys)?;
-                    responses.extend(r.values.into_iter().map(|value| Response::Get { value }));
-                    report.merge(&r.report);
-                }
-                Op::Delete { .. } => {
-                    let keys: Vec<u32> = seg.iter().map(Op::key).collect();
-                    let r = svc.delete_batch(&keys)?;
-                    responses.extend(r.hits.into_iter().map(|hit| Response::Delete { hit }));
-                    report.merge(&r.report);
-                }
-            }
-            Ok(())
-        };
-        for (i, op) in ops.iter().enumerate() {
-            let kind_changed = i > start
-                && std::mem::discriminant(op) != std::mem::discriminant(&ops[start]);
-            let dup_write = op.is_write() && !kind_changed && i > start && seen.contains(&op.key());
-            if kind_changed || dup_write {
-                flush(self, &ops[start..i], &mut responses, &mut report)?;
-                start = i;
-                seen.clear();
-            }
-            if op.is_write() {
-                seen.insert(op.key());
+
+        let gets: Vec<u32> = keys.iter().filter(|k| k.read).map(|k| k.key).collect();
+        if !gets.is_empty() {
+            let r = self.get_batch(&gets)?;
+            report.merge(&r.report);
+            for (k, value) in keys.iter_mut().filter(|k| k.read).zip(r.values) {
+                k.pre_value = value;
             }
         }
-        flush(self, &ops[start..], &mut responses, &mut report)?;
+        let deletes: Vec<u32> = keys.iter().filter(|k| k.deletes()).map(|k| k.key).collect();
+        if !deletes.is_empty() {
+            let r = self.delete_batch(&deletes)?;
+            report.merge(&r.report);
+            for (k, hit) in keys.iter_mut().filter(|k| k.deletes()).zip(r.hits) {
+                k.pre_present = hit;
+            }
+        }
+        let puts: Vec<(u32, u32)> = keys
+            .iter()
+            .filter_map(|k| match k.known {
+                Some(Some(value)) => Some((k.key, value)),
+                _ => None,
+            })
+            .collect();
+        if !puts.is_empty() {
+            let r = self.put_batch(&puts)?;
+            report.merge(&r.report);
+        }
+
+        let responses = answers
+            .into_iter()
+            .map(|a| match a {
+                Answer::Ready(r) => r,
+                Answer::PreValue(i) => Response::Get {
+                    value: keys[i].pre_value,
+                },
+                Answer::PrePresent(i) => Response::Delete {
+                    hit: keys[i].pre_present,
+                },
+            })
+            .collect();
+        report.elements = ops.len() as u64;
         Ok((responses, report))
     }
+}
+
+/// Where one op's response comes from once the planned batches ran.
+#[derive(Debug, Clone, Copy)]
+enum Answer {
+    /// Resolved on the host from the key's known state.
+    Ready(Response),
+    /// The backend pre-state value of the `i`-th planned key.
+    PreValue(usize),
+    /// The backend pre-state presence of the `i`-th planned key.
+    PrePresent(usize),
+}
+
+/// Planning state of one distinct key of an op stream.
+#[derive(Debug, Clone, Copy)]
+struct KeyPlan {
+    key: u32,
+    /// `None` while the backend pre-state is unknown; `Some(value)` once a
+    /// write of the stream fixed it (`Some(None)`: known absent). After
+    /// the pass this is the key's final write: a put of the value or a
+    /// delete.
+    known: Option<Option<u32>>,
+    /// The chain opens with a get: the key joins the get batch.
+    read: bool,
+    /// A delete hit the key while its pre-state was unknown.
+    blind_delete: bool,
+    /// Filled from the get batch.
+    pre_value: Option<u32>,
+    /// Filled from the delete batch.
+    pre_present: bool,
+}
+
+impl KeyPlan {
+    /// Whether the key joins the delete batch: its final write is a delete
+    /// or a delete needs its pre-state presence.
+    fn deletes(&self) -> bool {
+        self.blind_delete || self.known == Some(None)
+    }
+}
+
+/// One pass over `ops`: the distinct keys in first-occurrence order with
+/// their planning state, plus where each op's response comes from.
+fn plan(ops: &[Op]) -> (Vec<KeyPlan>, Vec<Answer>) {
+    // the map only indexes `keys`; nothing iterates it
+    let mut index: HashMap<u32, usize> = HashMap::with_capacity(ops.len());
+    let mut keys: Vec<KeyPlan> = Vec::new();
+    let mut answers = Vec::with_capacity(ops.len());
+    for op in ops {
+        let i = *index.entry(op.key()).or_insert_with(|| {
+            keys.push(KeyPlan {
+                key: op.key(),
+                known: None,
+                read: false,
+                blind_delete: false,
+                pre_value: None,
+                pre_present: false,
+            });
+            keys.len() - 1
+        });
+        let k = &mut keys[i];
+        answers.push(match (*op, k.known) {
+            (Op::Get { .. }, Some(value)) => Answer::Ready(Response::Get { value }),
+            (Op::Get { .. }, None) => {
+                k.read = true;
+                Answer::PreValue(i)
+            }
+            (Op::Put { value, .. }, _) => {
+                k.known = Some(Some(value));
+                Answer::Ready(Response::Put)
+            }
+            (Op::Delete { .. }, known) => {
+                k.known = Some(None);
+                match known {
+                    Some(value) => Answer::Ready(Response::Delete {
+                        hit: value.is_some(),
+                    }),
+                    None => {
+                        k.blind_delete = true;
+                        Answer::PrePresent(i)
+                    }
+                }
+            }
+        });
+    }
+    (keys, answers)
 }
 
 /// Lowers a YCSB-style mixed stream onto front-door [`Op`]s: reads
 /// become gets, updates become puts, and each read-modify-write expands
 /// into a get immediately followed by a put of the same key (the
 /// dependent pair YCSB F models). The output is therefore up to twice as
-/// long as the input; feed it to [`MapService::execute`], whose
-/// duplicate-key segmentation keeps the expansion response-identical to
-/// sequential execution.
+/// long as the input; feed it to [`MapService::execute`], whose planner
+/// answers each RMW's get from the pre-state and keeps only the key's
+/// last put, response-identical to sequential execution.
 #[must_use]
 pub fn lower_mixed(ops: &[workloads::ycsb::MixedOp]) -> Vec<Op> {
     use workloads::ycsb::MixedOp;
@@ -553,6 +645,7 @@ pub fn lower_mixed(ops: &[workloads::ycsb::MixedOp]) -> Vec<Op> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn op_report_merges_additively() {
@@ -616,16 +709,16 @@ mod tests {
     }
 
     /// A trivial in-memory MapService used to pin down `execute`'s
-    /// segmentation behavior independent of the GPU backends.
+    /// batch shape independent of the GPU backends.
     #[derive(Default)]
     struct ModelService {
         map: std::collections::HashMap<u32, u32>,
-        batches: Vec<(char, usize)>,
+        batches: Vec<(char, Vec<u32>)>,
     }
 
     impl MapService for ModelService {
         fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-            self.batches.push(('p', pairs.len()));
+            self.batches.push(('p', pairs.iter().map(|&(k, _)| k).collect()));
             let mut new_slots = 0;
             for &(k, v) in pairs {
                 if self.map.insert(k, v).is_none() {
@@ -644,7 +737,7 @@ mod tests {
         }
 
         fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-            self.batches.push(('g', keys.len()));
+            self.batches.push(('g', keys.to_vec()));
             Ok(GetResponse {
                 values: keys.iter().map(|k| self.map.get(k).copied()).collect(),
                 report: OpReport {
@@ -655,7 +748,7 @@ mod tests {
         }
 
         fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-            self.batches.push(('d', keys.len()));
+            self.batches.push(('d', keys.to_vec()));
             let hits: Vec<bool> = keys.iter().map(|k| self.map.remove(k).is_some()).collect();
             let erased = hits.iter().filter(|&&h| h).count() as u64;
             Ok(DeleteResponse {
@@ -677,6 +770,20 @@ mod tests {
         }
     }
 
+    /// The planner's shape: at most one batch per kind, in get → delete
+    /// → put order, each over distinct keys.
+    fn assert_planned_shape(batches: &[(char, Vec<u32>)]) {
+        let kinds: String = batches.iter().map(|(c, _)| *c).collect();
+        assert!(
+            ["", "g", "d", "p", "gd", "gp", "dp", "gdp"].contains(&kinds.as_str()),
+            "batch kinds {kinds:?} are not a subsequence of get, delete, put"
+        );
+        for (kind, keys) in batches {
+            let distinct: HashSet<u32> = keys.iter().copied().collect();
+            assert_eq!(distinct.len(), keys.len(), "{kind} batch repeats a key: {keys:?}");
+        }
+    }
+
     #[test]
     fn execute_coalesces_same_kind_runs() {
         let mut svc = ModelService::default();
@@ -689,7 +796,10 @@ mod tests {
             Op::Delete { key: 2 },
         ];
         let (resp, report) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('p', 2), ('g', 2), ('d', 2)]);
+        assert_planned_shape(&svc.batches);
+        // key 1's get is forwarded from its put; keys 1 and 2 end deleted,
+        // so their puts never reach the backend
+        assert_eq!(svc.batches, vec![('g', vec![9]), ('d', vec![1, 2])]);
         assert_eq!(
             resp,
             vec![
@@ -705,18 +815,20 @@ mod tests {
     }
 
     #[test]
-    fn execute_splits_put_segments_on_duplicate_keys() {
+    fn execute_collapses_duplicate_puts_to_the_last_writer() {
         let mut svc = ModelService::default();
         let ops = vec![
             Op::Put { key: 7, value: 1 },
             Op::Put { key: 8, value: 2 },
-            Op::Put { key: 7, value: 3 }, // duplicate → new batch
+            Op::Put { key: 7, value: 3 }, // same key: the last put wins
             Op::Get { key: 7 },
         ];
         let (resp, _) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('p', 2), ('p', 1), ('g', 1)]);
+        assert_planned_shape(&svc.batches);
+        assert_eq!(svc.batches, vec![('p', vec![7, 8])]);
         // sequential semantics: the later put wins
         assert_eq!(resp[3], Response::Get { value: Some(3) });
+        assert_eq!(svc.map.get(&7), Some(&3));
     }
 
     #[test]
@@ -725,23 +837,60 @@ mod tests {
         svc.map.insert(5, 50);
         let ops = vec![Op::Get { key: 5 }, Op::Get { key: 5 }, Op::Get { key: 5 }];
         let (resp, _) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('g', 3)]);
+        assert_planned_shape(&svc.batches);
+        assert_eq!(svc.batches, vec![('g', vec![5])]);
         assert!(resp
             .iter()
             .all(|r| *r == Response::Get { value: Some(50) }));
     }
 
     #[test]
-    fn execute_splits_delete_segments_on_duplicate_keys() {
+    fn execute_answers_repeat_deletes_from_the_known_state() {
         let mut svc = ModelService::default();
         svc.map.insert(3, 30);
         let ops = vec![Op::Delete { key: 3 }, Op::Delete { key: 3 }];
         let (resp, _) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('d', 1), ('d', 1)]);
+        assert_planned_shape(&svc.batches);
+        assert_eq!(svc.batches, vec![('d', vec![3])]);
         assert_eq!(
             resp,
             vec![Response::Delete { hit: true }, Response::Delete { hit: false }]
         );
+    }
+
+    #[test]
+    fn execute_orders_batches_get_delete_put_in_first_occurrence_order() {
+        let mut svc = ModelService::default();
+        svc.map.insert(2, 20);
+        let ops = vec![
+            Op::Put { key: 4, value: 40 },
+            Op::Get { key: 1 },
+            Op::Delete { key: 2 },
+            Op::Get { key: 3 },
+            Op::Put { key: 2, value: 21 },
+            Op::Delete { key: 1 },
+            Op::Get { key: 2 },
+        ];
+        let (resp, report) = svc.execute(&ops).unwrap();
+        assert_planned_shape(&svc.batches);
+        assert_eq!(
+            svc.batches,
+            vec![('g', vec![1, 3]), ('d', vec![1, 2]), ('p', vec![4, 2])]
+        );
+        assert_eq!(
+            resp,
+            vec![
+                Response::Put,
+                Response::Get { value: None },
+                Response::Delete { hit: true },
+                Response::Get { value: None },
+                Response::Put,
+                Response::Delete { hit: false },
+                Response::Get { value: Some(21) },
+            ]
+        );
+        // every op answered counts, forwarded ones included
+        assert_eq!(report.elements, ops.len() as u64);
     }
 
     #[test]

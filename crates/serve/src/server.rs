@@ -279,9 +279,10 @@ impl<S: MapService> Server<S> {
     /// Drains the pending queue through one coalesced backend execution.
     ///
     /// # Errors
-    /// [`ServeError::Backend`] if a batch fails; the failing batch's ops
-    /// are dropped (earlier coalesced segments stay applied, as with a
-    /// sequential caller stopping at the first error).
+    /// [`ServeError::Backend`] if a planned backend batch fails. Every op
+    /// of the flush is dropped without a completion, and any subset of
+    /// the flush's final writes may have been applied (the
+    /// [`MapService::execute`] partial-failure rule).
     pub fn flush(&mut self) -> Result<Vec<Completion>, ServeError> {
         if self.pending.is_empty() {
             return Ok(Vec::new());
@@ -700,6 +701,50 @@ mod tests {
         let m = cached.cache_metrics_text();
         assert!(m.contains("wd_serve_cache_hit_rate"));
         assert!(m.contains(&format!("wd_serve_cache_hits_total {}", stats.hits)));
+    }
+
+    #[test]
+    fn throughput_metric_counts_cache_absorbed_and_forwarded_ops() {
+        let mut srv = Server::cached(
+            single_gpu(1024),
+            8,
+            CachePolicy::Lru,
+            ServeConfig::default().with_max_batch(4),
+        );
+        let flushes: [&[Op]; 3] = [
+            &[Op::Put { key: 1, value: 10 }, Op::Put { key: 2, value: 20 }],
+            &[Op::Get { key: 1 }, Op::Get { key: 2 }],
+            // gets of 1 and 2 hit the cache; the get of 3 is answered from
+            // the put before it without reaching the backend
+            &[
+                Op::Get { key: 1 },
+                Op::Get { key: 2 },
+                Op::Put { key: 3, value: 30 },
+                Op::Get { key: 3 },
+            ],
+        ];
+        for ops in flushes {
+            for &op in ops {
+                assert!(srv.submit_at(0, op, 0.0).outcome.is_ok());
+            }
+            srv.flush().unwrap();
+        }
+        assert_eq!(srv.cache_stats().hits, 2);
+        let t = srv.telemetry();
+        assert_eq!(t.flushed_ops, 8);
+        assert_eq!(t.report.elements, t.flushed_ops, "every answered op counts");
+        let scraped: f64 = srv
+            .metrics_text()
+            .lines()
+            .find_map(|l| l.strip_prefix("wd_serve_throughput_ops_per_sec "))
+            .expect("throughput metric")
+            .parse()
+            .unwrap();
+        let want = 8.0 / t.report.time;
+        assert!(
+            (scraped - want).abs() <= 1e-9 * want,
+            "scraped {scraped} ops/s, want {want}"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The service's whole value proposition — batch aggressively for
 //! throughput without changing a single answer — rests on the
-//! [`warpdrive::MapService::execute`] segmentation contract plus the
+//! [`warpdrive::MapService::execute`] planning contract plus the
 //! determinism of admission on the host shadow model. These properties
 //! drive the same seeded trace through `max_batch = 1` (the sequential
 //! reference) and larger coalescing windows and demand byte-identical

@@ -10,5 +10,7 @@ for b in $BINS; do
   cargo run --release -p wd-bench --bin "$b" -- --n 65536 > "results/$b.txt"
 done
 echo "capturing BENCH_perf.json"
-cargo run --release -p wd-bench --bin wd-bench -- --out BENCH_perf.json
+# one simulator thread: with more, pool-mode CAS races make the sweep's
+# counters differ from run to run
+RAYON_NUM_THREADS=1 cargo run --release -p wd-bench --bin wd-bench -- --out BENCH_perf.json
 cargo run --release -p wd-bench --bin wd-bench -- --validate BENCH_perf.json
